@@ -687,7 +687,9 @@ def _observe_command(args) -> int:
             slos=slos) as session:
         result = run_scenario(name, seed=args.seed)
     telemetry = session.for_testbed(result.testbed)
-    print(telemetry.report(title=f"{name} (seed {args.seed})"))
+    attribution = telemetry.attribution()
+    print(telemetry.report(title=f"{name} (seed {args.seed})",
+                           attribution=attribution))
 
     timeline = telemetry.timeline
     if timeline is not None:
@@ -710,7 +712,6 @@ def _observe_command(args) -> int:
             print(f"SLO {spec.name}: met in all "
                   f"{probe.windows_evaluated} window(s)")
     if args.attribution:
-        attribution = telemetry.attribution()
         print()
         print(attribution.format())
 
@@ -738,7 +739,6 @@ def _observe_command(args) -> int:
             fh.write(to_timeline_csv(timeline))
         print(f"timeline CSV written to {args.timeline_csv}")
     if args.flamegraph:
-        attribution = telemetry.attribution()
         outputs = [
             (f"{args.flamegraph}.folded", attribution.to_folded()),
             (f"{args.flamegraph}.cycles.folded",

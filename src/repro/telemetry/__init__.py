@@ -8,12 +8,12 @@ those numbers:
 * :mod:`.registry` — a namespaced :class:`MetricsRegistry` that components
   register their existing counters/histograms/utilization trackers into;
 * :mod:`.instrument` — walks a testbed and registers everything;
-* :mod:`.stages` — per-request stage-latency breakdown from the Tracer;
 * :mod:`.timeline` — fixed-width simulated-time windows turning counters
   into rates, sampling gauges, and computing rolling percentiles, driven
   by the engine's ``on_advance`` monitor hook (zero-cost unbound);
-* :mod:`.attribution` — queueing-vs-service decomposition of each traced
-  request plus cycles-per-component flamegraph exports;
+* :mod:`.attribution` — the per-request stage decomposition, built from
+  the Tracer in one pass: stage latency table, queueing-vs-service split,
+  p99 tail verdict, plus cycles-per-component flamegraph exports;
 * :mod:`.slo` — declarative :class:`SloSpec` probes evaluated per
   window, with violations mirrored into the flight recorder;
 * :mod:`.exporters` — Chrome ``trace_event`` JSON, metrics JSON/CSV,
@@ -30,6 +30,7 @@ Driven from the command line by ``python -m repro observe <scenario>``.
 from .attribution import (
     LatencyAttribution,
     attribute,
+    markers_by_trace,
     stage_kind,
     to_folded_stacks,
     to_speedscope,
@@ -63,7 +64,6 @@ from .session import (
     bind_testbed,
 )
 from .slo import SloProbe, SloSpec, SloViolation
-from .stages import StageBreakdown, stage_breakdown, trace_markers
 from .timeline import (
     DEFAULT_WINDOW_NS,
     Timeline,
@@ -75,8 +75,7 @@ __all__ = [
     "MetricsRegistry", "MetricsNamespace",
     "instrument_testbed", "register_core", "register_nic",
     "register_storage_device", "register_switch", "sample_utilization",
-    "StageBreakdown", "stage_breakdown", "trace_markers",
-    "LatencyAttribution", "attribute", "stage_kind",
+    "LatencyAttribution", "attribute", "markers_by_trace", "stage_kind",
     "to_folded_stacks", "to_speedscope",
     "DEFAULT_WINDOW_NS", "Timeline", "render_dashboard", "sparkline",
     "SloSpec", "SloProbe", "SloViolation",

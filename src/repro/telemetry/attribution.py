@@ -1,22 +1,27 @@
 """Per-request latency attribution: queueing vs. service per stage.
 
-Builds on the PR-2 stage machinery (:mod:`repro.telemetry.stages`):
-every traced request leaves time-ordered markers, and consecutive
-markers delimit stages that tile the trace's end-to-end latency exactly.
-Attribution classifies each stage —
+Every traced request leaves a trail of *markers* on the clock: point
+events contribute one marker each, spans contribute a start marker (the
+span's name) and an end marker (``<name>_end``).  :func:`markers_by_trace`
+groups every trace's markers in one pass over the tracer.  Consecutive
+markers of one trace delimit a **stage**, and each stage is classified —
 
-* a stage named after a span (``iohost_service``, ``device_io``,
-  ``vhost_service``) is **service** time: a component was actively
+* the interval from a span's start marker straight to its own end marker
+  is named after the span (``iohost_service``, ``device_io``,
+  ``vhost_service``) and is **service** time: a component was actively
   working on the request;
-* an ``a→b`` stage between two different markers is **queueing** time:
-  the request sat in a ring, channel, or completion path between
-  components (``guest_tx→iohost_service`` is the guest-ring-to-sidecore
-  hop).
+* any other interval is named ``a→b`` after its two bounding markers and
+  is **queueing** time: the request sat in a ring, channel, or completion
+  path between components (``guest_tx→iohost_service`` is the
+  guest-ring-to-sidecore hop).
 
-— and answers "which stage dominates at p99": among the *tail* traces
+Because stages tile the marker range of each trace exactly, per-stage
+sums equal the end-to-end sum with no rounding, per trace and in
+aggregate.  :class:`LatencyAttribution` renders both the plain stage
+latency table of ``repro observe`` and the queueing/service table, and
+answers "which stage dominates at p99": among the *tail* traces
 (end-to-end at or above the p99), the stage with the largest share of
-total latency.  Because stages tile exactly, per-stage sums equal the
-end-to-end sum with no rounding, per trace and in aggregate.
+total latency.
 
 The same module exports simulated-cycles-per-component flamegraphs from
 the cores' cycle ledgers (``Core.cycles_by_tag``), in both collapsed
@@ -26,22 +31,24 @@ the cores' cycle ledgers (``Core.cycles_by_tag``), in both collapsed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim import Histogram
-from .stages import END_TO_END, trace_markers
 
 __all__ = [
     "QUEUEING",
     "SERVICE",
     "LatencyAttribution",
     "attribute",
+    "markers_by_trace",
     "stage_kind",
     "cycles_by_component",
     "to_folded_stacks",
     "to_speedscope",
 ]
 
+END_TO_END = "end_to_end"
 QUEUEING = "queueing"
 SERVICE = "service"
 
@@ -64,7 +71,7 @@ class LatencyAttribution:
     """Aggregated queueing/service decomposition across many traces."""
 
     def __init__(self) -> None:
-        # Insertion-ordered: first-seen datapath order, like StageBreakdown.
+        # Insertion-ordered: stages appear in first-seen datapath order.
         self.stages: Dict[str, Histogram] = {}
         self.end_to_end = Histogram(END_TO_END)
         self.traces: List[TraceAttribution] = []
@@ -146,6 +153,23 @@ class LatencyAttribution:
                 if dominant else None),
         }
 
+    def format_stages(self) -> str:
+        """Stage latency table: count/mean/p50/p95/p99/max (values in us)."""
+        if not self.traces:
+            return "stage breakdown: no traced requests"
+        lines = [
+            f"stage latency breakdown ({len(self.traces)} traced requests, us)",
+            f"{'stage':38s} {'count':>7s} {'mean':>9s} {'p50':>9s} "
+            f"{'p95':>9s} {'p99':>9s} {'max':>9s}",
+        ]
+        rows = list(self.stages.items()) + [(END_TO_END, self.end_to_end)]
+        for name, histogram in rows:
+            d = histogram.summary()
+            cells = " ".join(f"{d[s] / 1000.0:9.2f}"
+                             for s in ("mean", "p50", "p95", "p99", "max"))
+            lines.append(f"{name:38s} {d['count']:7d} {cells}")
+        return "\n".join(lines)
+
     def format(self) -> str:
         """Aligned text table (values in us) plus the tail verdict."""
         if not self.traces:
@@ -192,14 +216,37 @@ class LatencyAttribution:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def markers_by_trace(tracer: Any) -> Dict[Any, List[Tuple[int, str]]]:
+    """Every trace's time-ordered ``(at_ns, label)`` markers.
+
+    One pass over ``tracer.events`` and then ``tracer.spans`` groups the
+    markers by trace id; keys come out in ``tracer.trace_ids()`` order.
+    Ties on the clock are broken by recording order (events before the
+    spans recorded after them), which is deterministic.
+    """
+    grouped: Dict[Any, List[Tuple[int, str]]] = {}
+    for event in tracer.events:
+        grouped.setdefault(event.trace_id, []).append(
+            (event.at_ns, event.name))
+    for span in tracer.spans:
+        markers = grouped.setdefault(span.trace_id, [])
+        markers.append((span.start_ns, span.name))
+        if span.end_ns is not None:
+            markers.append((span.end_ns, f"{span.name}_end"))
+    for markers in grouped.values():
+        # Each list is in recording order, so a stable sort on the clock
+        # alone breaks ties by recording order.
+        markers.sort(key=itemgetter(0))
+    return grouped
+
+
 def attribute(tracer: Any, trace_ids: Optional[List[Any]] = None
               ) -> LatencyAttribution:
     """Build the attribution over ``trace_ids`` (default: every trace)."""
+    markers = markers_by_trace(tracer)
     attribution = LatencyAttribution()
-    if trace_ids is None:
-        trace_ids = tracer.trace_ids()
-    for trace_id in trace_ids:
-        attribution.add_trace(trace_id, trace_markers(tracer, trace_id))
+    for trace_id in markers if trace_ids is None else trace_ids:
+        attribution.add_trace(trace_id, markers.get(trace_id, []))
     return attribution
 
 

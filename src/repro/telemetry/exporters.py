@@ -6,8 +6,9 @@ Three formats, all dependency-free:
   for diffing runs or feeding plotting scripts;
 * ``to_chrome_trace_json`` — the Tracer's span/point stream as a Chrome
   ``trace_event`` document, loadable in chrome://tracing or Perfetto;
-* ``text_report`` — a terminal report combining the stage-latency
-  breakdown with the registry's headline numbers.
+* ``text_report`` — a terminal report combining the stage latency table
+  of :class:`~repro.telemetry.attribution.LatencyAttribution` with the
+  registry's headline numbers.
 
 ``validate_metrics`` and ``validate_chrome_trace`` are the schema checks
 behind ``repro verify --telemetry``.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from .stages import stage_breakdown
+from .attribution import LatencyAttribution, attribute
 
 __all__ = [
     "to_metrics_json",
@@ -59,12 +60,19 @@ def to_chrome_trace_json(tracer: Any) -> str:
     return json.dumps(tracer.to_chrome_trace(), indent=1)
 
 
-def text_report(telemetry: Any, title: str = "") -> str:
-    """Human-readable run report: stages, models, sidecores, headline I/O."""
+def text_report(telemetry: Any, title: str = "",
+                attribution: Optional[LatencyAttribution] = None) -> str:
+    """Human-readable run report: stages, models, sidecores, headline I/O.
+
+    Pass an ``attribution`` already built from ``telemetry.tracer`` to
+    reuse it; otherwise one is built here.
+    """
+    if attribution is None:
+        attribution = attribute(telemetry.tracer)
     lines: List[str] = []
     if title:
         lines += [title, "=" * len(title), ""]
-    lines.append(stage_breakdown(telemetry.tracer).format())
+    lines.append(attribution.format_stages())
     snapshot = telemetry.registry.snapshot()
     interesting = [name for name in sorted(snapshot)
                    if name.startswith(("stats.", "sidecores.", "ports.",

@@ -25,7 +25,6 @@ from .flight import FlightRecorder
 from .instrument import instrument_testbed
 from .registry import MetricsRegistry
 from .slo import SloProbe, SloSpec
-from .stages import StageBreakdown, stage_breakdown
 from .timeline import DEFAULT_WINDOW_NS, Timeline
 
 __all__ = ["TelemetrySession", "TestbedTelemetry", "bind_testbed",
@@ -114,9 +113,6 @@ class TestbedTelemetry:
     def snapshot(self) -> Dict[str, float]:
         return self.registry.snapshot()
 
-    def stages(self) -> StageBreakdown:
-        return stage_breakdown(self.tracer)
-
     def attribution(self) -> LatencyAttribution:
         """Queueing-vs-service latency attribution over every trace."""
         return attribute(self.tracer)
@@ -124,8 +120,9 @@ class TestbedTelemetry:
     def chrome_trace(self) -> Dict[str, Any]:
         return self.tracer.to_chrome_trace()
 
-    def report(self, title: str = "") -> str:
-        return text_report(self, title=title)
+    def report(self, title: str = "",
+               attribution: Optional[LatencyAttribution] = None) -> str:
+        return text_report(self, title=title, attribution=attribution)
 
 
 _active: List["TelemetrySession"] = []

@@ -8,14 +8,13 @@ import pytest
 from repro.sim import Environment, Tracer
 from repro.telemetry import (
     FlightRecorder,
+    LatencyAttribution,
     MetricsRegistry,
-    StageBreakdown,
     TelemetrySession,
-    stage_breakdown,
+    markers_by_trace,
     to_chrome_trace_json,
     to_metrics_csv,
     to_metrics_json,
-    trace_markers,
     validate_chrome_trace,
     validate_metrics,
 )
@@ -153,22 +152,21 @@ def test_trace_markers_order_and_span_ends():
     tracer.end(span)
     _advance(env, 50)
     tracer.point("r", "guest_deliver")
-    assert trace_markers(tracer, "r") == [
+    assert markers_by_trace(tracer)["r"] == [
         (0, "guest_tx"), (100, "service"),
         (350, "service_end"), (400, "guest_deliver")]
 
 
 def test_stage_sums_equal_end_to_end_exactly():
     """Stages tile each trace's marker range: sums match with no rounding."""
-    breakdown = StageBreakdown()
+    attribution = LatencyAttribution()
     markers = [(0, "guest_tx"), (137, "service"),
                (450, "service_end"), (991, "guest_deliver")]
-    breakdown.add_trace(markers)
-    summary = breakdown.summarize()
-    stage_sum = sum(summary[s]["mean"] for s in summary if s != "end_to_end")
-    assert stage_sum == summary["end_to_end"]["mean"] == 991
+    attribution.add_trace("r", markers)
+    stage_sum = sum(attribution.totals().values())
+    assert stage_sum == attribution.end_to_end.summary()["mean"] == 991
     # Span interval is named after the span; hops are arrow-joined.
-    assert set(breakdown.stages) == {
+    assert set(attribution.stages) == {
         "guest_tx→service", "service", "service_end→guest_deliver"}
 
 
@@ -180,24 +178,24 @@ def test_stage_breakdown_on_real_scenario_tiles_exactly():
     telemetry = session.for_testbed(result.testbed)
     tracer = telemetry.tracer
     assert tracer.trace_ids()
-    for trace_id in tracer.trace_ids():
-        markers = trace_markers(tracer, trace_id)
+    for trace_id, markers in markers_by_trace(tracer).items():
         if len(markers) < 2:
             continue
-        single = StageBreakdown()
-        single.add_trace(markers)
+        single = LatencyAttribution()
+        single.add_trace(trace_id, markers)
         stage_sum = sum(h.summary()["mean"] * h.summary()["count"]
                         for h in single.stages.values())
         assert stage_sum == markers[-1][0] - markers[0][0]
 
 
 def test_stage_breakdown_format_mentions_counts():
-    breakdown = StageBreakdown()
-    breakdown.add_trace([(0, "a"), (10, "b")])
-    text = breakdown.format()
+    attribution = LatencyAttribution()
+    attribution.add_trace("r", [(0, "a"), (10, "b")])
+    text = attribution.format_stages()
     assert "1 traced requests" in text
     assert "a→b" in text
-    assert StageBreakdown().format() == "stage breakdown: no traced requests"
+    assert (LatencyAttribution().format_stages()
+            == "stage breakdown: no traced requests")
 
 
 # -- flight recorder --------------------------------------------------------
