@@ -19,9 +19,9 @@ Two details matter for the paper:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
-from ..sim import Environment, Event, UtilizationTracker
+from ..sim import Environment, Event, Timer, UtilizationTracker
 
 __all__ = ["Core", "CpuSocket"]
 
@@ -82,8 +82,12 @@ class Core:
         self.busy = False
         self._high: Deque[Tuple[int, bool, str, Event]] = deque()
         self._normal: Deque[Tuple[int, bool, str, Event]] = deque()
-        self._idle_wakeup: Optional[Event] = None
-        env.process(self._serve(), name=f"core:{name}")
+        self._idle = False  # waiting for work: the next execute() wakes
+        self._idle_start = 0
+        self._service_ns = 0
+        self._wake = Timer(env, self._on_wake)
+        self._service = Timer(env, self._advance)
+        env.call_soon(self._advance)
 
     # -- public API ---------------------------------------------------------
 
@@ -102,8 +106,9 @@ class Core:
             self._high.append(item)
         else:
             self._normal.append(item)
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
+        if self._idle:
+            self._idle = False
+            self._wake.fire()
         return done
 
     def stall(self, duration_ns: int) -> Event:
@@ -144,36 +149,52 @@ class Core:
                      + idle_ns * idle_watts)
         return joules_ns * 1e-9
 
-    # -- server loop ---------------------------------------------------------
+    # -- service state machine ----------------------------------------------
+    # ``_wake`` fires when work reaches an idle core, then (value True) once
+    # the core has noticed it; ``_service`` fires when the item in service
+    # (its value) completes.  Every firing must keep the (time, seq) of the
+    # generator server it replaced: the goldens pin sim.steps/sim.events.
 
-    def _serve(self) -> Generator[Event, Any, None]:
-        env = self.env
+    def _on_wake(self, timer: Timer) -> None:
+        noticed = timer.value
+        if self.poll_mode:
+            # The spinning poll loop burned the idle span, then the notice.
+            self.util.account(self.poll_dispatch_ns if noticed
+                              else self.env.now - self._idle_start,
+                              useful=False)
+        if not noticed and self.poll_dispatch_ns:
+            # Poll-loop notice latency, or mwait wakeup latency.
+            timer.fire(self.poll_dispatch_ns, True)
+        else:
+            self._advance()
+
+    def _advance(self, timer: Optional[Timer] = None) -> None:
+        """Retire the item ``timer`` served (if any), then start queued work
+        (a zero-cycle item completes in this same step) or go idle."""
+        high = self._high
+        normal = self._normal
+        item = None if timer is None else timer.value
+        duration = self._service_ns
         while True:
-            if not self._high and not self._normal:
-                idle_start = env.now
-                self._idle_wakeup = env.event()
-                yield self._idle_wakeup
-                self._idle_wakeup = None
-                if self.poll_mode:
-                    # The spinning poll loop burned the whole idle span.
-                    self.util.account(env.now - idle_start, useful=False)
-                if self.poll_dispatch_ns:
-                    # Poll-loop notice latency, or mwait wakeup latency.
-                    yield env.timeout(self.poll_dispatch_ns)
-                    if self.poll_mode:
-                        self.util.account(self.poll_dispatch_ns,
-                                          useful=False)
-            queue = self._high if self._high else self._normal
-            cycles, useful, tag, done = queue.popleft()
+            if item is not None:
+                cycles, useful, tag, done = item
+                self.util.account(duration, useful=useful)
+                self.total_cycles += cycles
+                self.cycles_by_tag[tag] = (self.cycles_by_tag.get(tag, 0)
+                                           + cycles)
+                done.succeed()
+            if not high and not normal:
+                self.busy = False
+                self._idle_start = self.env.now
+                self._idle = True
+                return
+            item = high.popleft() if high else normal.popleft()
             self.busy = True
-            duration = self.ns_for(cycles)
+            duration = self.ns_for(item[0])
             if duration:
-                yield env.timeout(duration)
-            self.util.account(duration, useful=useful)
-            self.total_cycles += cycles
-            self.cycles_by_tag[tag] = self.cycles_by_tag.get(tag, 0) + cycles
-            self.busy = self.queue_length > 0
-            done.succeed()
+                self._service_ns = duration
+                self._service.fire(duration, item)
+                return
 
 
 class CpuSocket:

@@ -9,9 +9,10 @@ propagation delay.  Optional random loss models an unreliable fabric for the
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
-from ..sim import Environment, Event, Store, wire_time_ns
+from ..sim import Environment, Timer, wire_time_ns
 from ..net.frame import EthernetFrame
 
 __all__ = ["Link", "LinkEndpoint"]
@@ -32,27 +33,37 @@ class _Channel:
         self.frames_sent = 0
         self.frames_dropped = 0
         self.bytes_sent = 0
-        self._queue: Store = Store(env)
-        env.process(self._pump(), name="link-channel")
+        self._frames: Deque[EthernetFrame] = deque()
+        self._idle = False  # waiting for a frame: the next send() wakes
+        self._got = Timer(env, self._on_got)
+        self._wire = Timer(env, self._on_wire)
+        env.call_soon(self._next)
 
     def send(self, frame: EthernetFrame) -> None:
-        self._queue.try_put(frame)
+        self._frames.append(frame)
+        if self._idle:
+            self._next()
 
-    def _pump(self) -> Generator[Event, Any, None]:
-        env = self.env
-        while True:
-            frame = yield self._queue.get()
-            yield env.timeout(wire_time_ns(frame.wire_bytes, self.gbps))
-            self.frames_sent += 1
-            self.bytes_sent += frame.wire_bytes
-            if self.down:
-                self.frames_dropped += 1
-                continue
-            if (self.loss_probability > 0.0 and self.rng is not None
-                    and self.rng.random() < self.loss_probability):
-                self.frames_dropped += 1
-                continue
-            env.call_soon(self._arrive(frame), delay=self.propagation_ns)
+    def _next(self) -> None:
+        """Take the next frame, or idle until ``send``."""
+        self._idle = not self._frames
+        if self._frames:
+            self._got.fire()
+
+    def _on_got(self, timer: Timer) -> None:
+        frame = self._frames.popleft()
+        self._wire.fire(wire_time_ns(frame.wire_bytes, self.gbps), frame)
+
+    def _on_wire(self, timer: Timer) -> None:
+        frame = timer.value
+        self.frames_sent += 1
+        self.bytes_sent += frame.wire_bytes
+        if self.down or (self.loss_probability > 0.0 and self.rng is not None
+                         and self.rng.random() < self.loss_probability):
+            self.frames_dropped += 1
+        else:
+            self.env.call_soon(self._arrive(frame), delay=self.propagation_ns)
+        self._next()
 
     def _arrive(self, frame: EthernetFrame) -> Callable[[], None]:
         def deliver() -> None:

@@ -11,6 +11,7 @@ from .engine import (
     Process,
     SimulationError,
     Timeout,
+    Timer,
     default_scheduler,
     scheduler_override,
     set_default_scheduler,
@@ -45,7 +46,7 @@ from .units import (
 
 __all__ = [
     "AllOf", "AnyOf", "CalendarQueue", "Environment", "Event", "Interrupt",
-    "Process", "SCHEDULERS", "SimulationError", "Timeout",
+    "Process", "SCHEDULERS", "SimulationError", "Timeout", "Timer",
     "default_scheduler", "scheduler_override", "set_default_scheduler",
     "PriorityStore", "Resource", "Store",
     "RngRegistry",

@@ -14,6 +14,8 @@ The core concepts:
   the ``yield`` expression.  A process is itself an event that triggers when
   the generator returns (with the generator's return value).
 * :class:`Timeout` is an event that triggers after a fixed delay.
+* :class:`Timer` is a re-armable event owned by one callback state machine:
+  how hot models (cores, link channels) wait without allocating.
 
 Scheduler
 ---------
@@ -58,6 +60,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
+    "Timer",
     "Process",
     "Interrupt",
     "AllOf",
@@ -243,7 +246,35 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self._ok = True
         self.delay = delay
-        env._schedule_timeout(self, delay)
+        env._schedule_event(self, delay)
+
+
+class Timer(Event):
+    """A re-armable event owned by one callback state machine.
+
+    ``fire`` schedules the timer; on dispatch ``callback(timer)`` runs and
+    the timer may fire again, even from inside that callback.  A firing is
+    dispatched at the ``(time, seq)`` a :class:`Timeout` (or, at zero
+    delay, :meth:`Event.succeed`) would get, so one long-lived timer can
+    replace per-item timeouts without changing the schedule.
+    """
+
+    __slots__ = ("_callback",)
+
+    def __init__(self, env: "Environment", callback: Callable[["Timer"], None]) -> None:
+        super().__init__(env)
+        self._callback = callback
+
+    def fire(self, delay: int = 0, value: Any = None) -> None:
+        """Dispatch the timer with ``value`` ``delay`` ns from now."""
+        if self._state == _TRIGGERED:
+            raise SimulationError("timer fired while still pending")
+        if delay < 0:
+            raise SimulationError(f"negative timer delay: {delay}")
+        self._value = value
+        self._state = _TRIGGERED
+        self._cb0 = self._callback
+        self.env._schedule_event(self, delay)
 
 
 class Process(Event):
@@ -421,10 +452,6 @@ class Environment:
     byte-identical schedules.
     """
 
-    # Heap entries: (time, seq, event-or-None, callable-or-None); exactly
-    # one of the last two is set.
-    _HeapEntry = Tuple[int, int, Optional[Event], Optional[Callable[[], None]]]
-
     def __init__(self, scheduler: Optional[str] = None) -> None:
         if scheduler is None:
             scheduler = _DEFAULT_SCHEDULER[0]
@@ -441,12 +468,13 @@ class Environment:
         self._advance_monitors: List[Any] = []
         self.scheduler = scheduler
         if scheduler == "heap":
-            self._heap: List[Environment._HeapEntry] = []
+            # Entries are (time, seq, event-or-callable); seq is unique, so
+            # the item itself is never compared.
+            self._heap: List[Tuple[int, int, Any]] = []
             # Route every scheduling/execution entry point to the legacy
             # implementations; the calendar structures are never created.
-            self._schedule_event = self._schedule_event_heap  # type: ignore[method-assign]
-            self._schedule_timeout = self._schedule_timeout_heap  # type: ignore[method-assign]
-            self.call_soon = self._call_soon_heap  # type: ignore[method-assign]
+            self._schedule_event = self._schedule_heap  # type: ignore[method-assign]
+            self.call_soon = self._schedule_heap  # type: ignore[method-assign]
             self.step = self._step_heap  # type: ignore[method-assign]
             self.run = self._run_heap  # type: ignore[method-assign]
             self.peek = self._peek_heap  # type: ignore[method-assign]
@@ -497,65 +525,12 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
 
-    # The three scheduling entry points below duplicate CalendarQueue.push's
-    # common case (a future bucket within the horizon, ahead of the scan) to
-    # save the extra call frame on the per-timer hot path; anything else
-    # falls through to the real push.  The condition mirrors push() exactly.
-
-    def _schedule_event(self, event: Event, delay: int = 0) -> None:
-        if delay:
-            seq = self._seq + 1
-            self._seq = seq
-            time = self._now + delay
-            cal = self._cal
-            bidx = time >> cal._shift
-            if cal._cursor < bidx < cal._floor + cal._nbuckets:
-                free = cal._free
-                if free:
-                    e = free.pop()
-                    e[0] = time
-                    e[1] = seq
-                    e[2] = event
-                else:
-                    e = [time, seq, event]
-                cal._buckets[bidx & cal._mask].append(e)
-                count = cal._count + 1
-                cal._count = count
-                if count > cal._grow_at:
-                    cal._maybe_grow(count)
-                return
-            cal.push(time, seq, event)
-        else:
-            self._ready.append(event)
-
-    def _schedule_timeout(self, event: Event, delay: int) -> None:
-        if delay:
-            seq = self._seq + 1
-            self._seq = seq
-            time = self._now + delay
-            cal = self._cal
-            bidx = time >> cal._shift
-            if cal._cursor < bidx < cal._floor + cal._nbuckets:
-                free = cal._free
-                if free:
-                    e = free.pop()
-                    e[0] = time
-                    e[1] = seq
-                    e[2] = event
-                else:
-                    e = [time, seq, event]
-                cal._buckets[bidx & cal._mask].append(e)
-                count = cal._count + 1
-                cal._count = count
-                if count > cal._grow_at:
-                    cal._maybe_grow(count)
-                return
-            cal.push(time, seq, event)
-        else:
-            self._ready.append(event)
-
     def call_soon(self, fn: Callable[[], None], delay: int = 0) -> None:
         """Run ``fn()`` after ``delay`` ns (0 = this time step, FIFO)."""
+        # Duplicates CalendarQueue.push's common case (a future bucket
+        # within the horizon, ahead of the scan) to save a call frame on the
+        # per-timer hot path; anything else falls through to the real push.
+        # The condition mirrors push() exactly.
         if delay:
             seq = self._seq + 1
             self._seq = seq
@@ -580,6 +555,10 @@ class Environment:
             cal.push(time, seq, fn)
         else:
             self._ready.append(fn)
+
+    # Triggered events (succeed/fail, Timeout, Timer.fire) are queued exactly
+    # like callables, at the same (time, seq); dispatch tells them apart.
+    _schedule_event = call_soon
 
     def schedule_at(self, at_ns: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at the absolute time ``at_ns``.
@@ -845,35 +824,26 @@ class Environment:
     # with Environment(scheduler="heap").  It is the reference model the
     # differential suite runs every scenario against.
 
-    def _schedule_event_heap(self, event: Event, delay: int = 0) -> None:
+    def _schedule_heap(self, item: Union[Event, Callable[[], None]],
+                       delay: int = 0) -> None:
+        """Queue a triggered event or a callable ``delay`` ns from now."""
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event, None))
-
-    def _schedule_timeout_heap(self, event: Event, delay: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event, None))
-
-    def _call_soon_heap(self, fn: Callable[[], None], delay: int = 0) -> None:
-        """Run ``fn()`` after ``delay`` ns (0 = this time step, FIFO)."""
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, None, fn))
+        heapq.heappush(self._heap, (self._now + delay, self._seq, item))
 
     def _step_heap(self) -> None:
         """Process the single next scheduled item."""
-        when, _seq, event, fn = heapq.heappop(self._heap)
+        when, _seq, item = heapq.heappop(self._heap)
         if when < self._now:
             raise SimulationError("time went backwards")
         if when > self._now:
             self._now = when
             for monitor in self._advance_monitors:
                 monitor.on_advance(when)
-        if event is not None:
-            event._run_callbacks()
+        if isinstance(item, Event):
+            item._run_callbacks()
         else:
-            assert fn is not None  # heap entries carry one of the two
-            fn()
+            item()
         if self._step_monitors:
-            item: Any = event if event is not None else fn
             for monitor in self._step_monitors:
                 monitor.on_step(when, item)
 

@@ -35,11 +35,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> Deque[Any]:
-        """The buffered items (read-only view by convention)."""
-        return self._items
-
     def put(self, item: Any) -> Event:
         """Return an event that triggers once ``item`` is buffered."""
         event = Event(self.env)
