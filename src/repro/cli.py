@@ -20,17 +20,17 @@ models [--list | --json]
 costs
     Dump the calibrated cost-model constants.
 verify [--scenario NAME] [--update-goldens] [--list] [--telemetry]
-       [--lint] [--engine] [--jobs N] [--no-cache] [--cache-dir D]
+       [--lint] [--faults] [--observe] [--jobs N] [--no-cache]
+       [--cache-dir D]
     Run the verification harness: every canonical scenario is executed,
     audited against the simulation invariants, re-run to prove bit
     determinism, and compared to its committed golden fingerprint.
     ``--telemetry`` adds a pass validating each scenario's metrics and
     Chrome-trace exports.  ``--lint`` adds the simlint static-analysis
-    pass over the source tree.  ``--engine`` adds the scheduler smoke:
-    the calendar queue must clearly outpace the legacy heap and the
-    committed ``BENCH_engine.json`` must be schema-valid.  Scenarios fan
-    out over ``--jobs`` processes and replay from the result cache when
-    the code is unchanged.
+    pass over the source tree, ``--faults`` the fault-campaign smoke and
+    ``--observe`` the windowed-telemetry smoke.  Scenarios fan out over
+    ``--jobs`` processes and replay from the result cache when the code
+    is unchanged.
 lint [PATH ...] [--json] [--baseline FILE] [--update-baseline]
      [--only CODE] [--list-rules] [--project] [--jobs N] [--no-cache]
      [--changed]
@@ -66,14 +66,6 @@ observe SCENARIO [--seed N] [--trace PATH] [--json FILE] [--csv FILE]
 bench [ARTIFACT ...] [--quick] [--jobs N] [--out PATH]
     Time each artifact's regeneration three ways — serial cold, parallel
     cold, and warm-cache — and write the timings to ``BENCH_sweep.json``.
-bench --engine [--quick] [--check] [--out PATH]
-    Benchmark the event-scheduler hot path: calendar queue vs the legacy
-    heap on completion storms, captured fig12/fig13 schedule replays,
-    end-to-end artifact wall times, and the whole-tree project lint
-    (cold vs warm symbol cache); writes ``BENCH_engine.json``.
-    ``--check`` compares against the committed baseline instead and
-    fails on a >10% calendar events/sec regression, a lint cache
-    warm-up below 5x, or new lint findings.
 """
 
 from __future__ import annotations
@@ -381,10 +373,6 @@ def _verify_command(args) -> int:
         issue = _lint_smoke_line()
         if issue is not None:
             failures += 1
-    if args.engine:
-        issue = _engine_smoke_line()
-        if issue is not None:
-            failures += 1
     if args.observe:
         issue = _observe_smoke_line()
         if issue is not None:
@@ -421,19 +409,6 @@ def _lint_smoke_line() -> Optional[str]:
     for finding in result.all_findings():
         print(f"    {finding.format()}")
     return f"{len(result.all_findings())} lint finding(s)"
-
-
-def _engine_smoke_line() -> Optional[str]:
-    """Run the engine-scheduler smoke and print its verdict row."""
-    from .bench_engine import run_engine_smoke
-
-    issue = run_engine_smoke()
-    if issue is None:
-        print(f"{'engine':24s} {'ok':>10s}")
-    else:
-        print(f"{'engine':24s} {'FAILED':>10s}")
-        print(f"    {issue}")
-    return issue
 
 
 def _observe_smoke(name: str = "rr_vrio", seed: int = 0) -> Optional[str]:
@@ -539,23 +514,6 @@ def _bench_command(args) -> int:
     import os
     import tempfile
     import time
-
-    if args.engine:
-        from .bench_engine import DEFAULT_OUT, main as engine_main
-        if args.artifacts:
-            print("--engine takes no artifact arguments", file=sys.stderr)
-            return 2
-        engine_argv = ["--out", args.out or DEFAULT_OUT]
-        if args.quick:
-            engine_argv.append("--quick")
-        if args.check:
-            engine_argv.append("--check")
-        return engine_main(engine_argv)
-    if args.check:
-        print("--check requires --engine", file=sys.stderr)
-        return 2
-    if args.out is None:
-        args.out = "BENCH_sweep.json"
 
     names = args.artifacts or sorted(ARTIFACTS)
     unknown = [n for n in names if n not in ARTIFACTS]
@@ -896,12 +854,6 @@ def _main(argv: Optional[list] = None) -> int:
     verify_parser.add_argument("--lint", action="store_true",
                                help="also run the simlint static-analysis "
                                     "pass over the source tree")
-    verify_parser.add_argument("--engine", action="store_true",
-                               help="also run the engine-scheduler smoke: "
-                                    "the calendar queue must beat the legacy "
-                                    "heap on the storm shape and the "
-                                    "committed BENCH_engine.json must be "
-                                    "schema-valid")
     verify_parser.add_argument("--observe", action="store_true",
                                help="also run the windowed-telemetry smoke: "
                                     "timeline binding must not perturb the "
@@ -992,19 +944,9 @@ def _main(argv: Optional[list] = None) -> int:
                               help="worker processes for the parallel pass "
                                    "(default: auto)")
     bench_parser.add_argument("--out", metavar="PATH",
-                              default=None,
+                              default="BENCH_sweep.json",
                               help="output JSON path (default: "
-                                   "BENCH_sweep.json, or BENCH_engine.json "
-                                   "with --engine)")
-    bench_parser.add_argument("--engine", action="store_true",
-                              help="benchmark the event-scheduler hot path "
-                                   "(calendar queue vs legacy heap) instead "
-                                   "of the sweep executor")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="with --engine: compare against the "
-                                   "committed baseline and fail on a >10%% "
-                                   "events/sec regression instead of "
-                                   "rewriting it")
+                                   "BENCH_sweep.json)")
     args = parser.parse_args(argv)
 
     if args.command == "list":

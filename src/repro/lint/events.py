@@ -12,10 +12,10 @@ ugly:
   the default-argument binding idiom (``lambda v=vm: ...``), which this
   rule recognizes and accepts.
 * SIM303 — code outside ``repro/sim/`` reaching into the scheduler's
-  internals (``_heap``, ``_cal``, ``_seq``, ``_ready``).  The engine's
-  fast path deliberately couples to those fields *inside* the kernel;
-  anything else poking them bypasses the FIFO tie-break and freelist
-  lifecycle and silently corrupts the schedule.
+  internals (``_heap``, ``_seq``, ``_ready``).  The engine's run loops
+  deliberately couple to those fields *inside* the kernel; anything else
+  poking them bypasses the ``(time, seq)`` FIFO tie-break and silently
+  corrupts the schedule.
 """
 
 from __future__ import annotations
@@ -157,20 +157,20 @@ class LateBoundLoopCaptureRule(Rule):
                                 f"them as default arguments")
 
 
-# Scheduler internals owned by repro/sim: the event heap/calendar, the
-# FIFO tie-break counter, and the zero-delay ready lane.
-_SCHEDULER_INTERNALS = frozenset({"_heap", "_cal", "_seq", "_ready"})
+# Scheduler internals owned by repro/sim: the future-event heap, the FIFO
+# tie-break counter, and the zero-delay ready lane.
+_SCHEDULER_INTERNALS = frozenset({"_heap", "_seq", "_ready"})
 
 
 @register_rule
 class SchedulerInternalsRule(Rule):
     code = "SIM303"
     name = "scheduler-internals-poke"
-    rationale = ("The scheduler's queue state (_heap/_cal/_seq/_ready) is "
+    rationale = ("The scheduler's queue state (_heap/_seq/_ready) is "
                  "owned by repro/sim; outside pokes bypass the (time, seq) "
-                 "FIFO tie-break and the entry freelist lifecycle and "
-                 "silently corrupt the schedule.  Go through the public "
-                 "Environment API (call_soon, timeout, run, peek).")
+                 "FIFO tie-break and silently corrupt the schedule.  Go "
+                 "through the public Environment API (call_soon, timeout, "
+                 "run, peek).")
 
     def visit_Attribute(self, node: ast.Attribute, ctx: FileContext) -> None:
         if node.attr not in _SCHEDULER_INTERNALS:

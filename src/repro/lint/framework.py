@@ -67,8 +67,7 @@ class FileContext:
 
 # Modules allowed to touch the process environment / wall clock: the
 # command-line surface plus the one sanctioned env-access module.
-CLI_MODULES: Tuple[str, ...] = ("repro/cli.py", "repro/__main__.py",
-                                "repro/bench_engine.py")
+CLI_MODULES: Tuple[str, ...] = ("repro/cli.py", "repro/__main__.py")
 ENV_MODULES: Tuple[str, ...] = CLI_MODULES + ("repro/envvars.py",)
 
 

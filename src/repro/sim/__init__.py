@@ -1,8 +1,6 @@
 """Discrete-event simulation kernel used by the whole reproduction."""
 
-from .calqueue import CalendarQueue
 from .engine import (
-    SCHEDULERS,
     AllOf,
     AnyOf,
     Environment,
@@ -13,8 +11,6 @@ from .engine import (
     Timeout,
     Timer,
     default_scheduler,
-    scheduler_override,
-    set_default_scheduler,
 )
 from .queues import PriorityStore, Resource, Store
 from .rng import RngRegistry
@@ -45,9 +41,8 @@ from .units import (
 )
 
 __all__ = [
-    "AllOf", "AnyOf", "CalendarQueue", "Environment", "Event", "Interrupt",
-    "Process", "SCHEDULERS", "SimulationError", "Timeout", "Timer",
-    "default_scheduler", "scheduler_override", "set_default_scheduler",
+    "AllOf", "AnyOf", "Environment", "Event", "Interrupt", "Process",
+    "SimulationError", "Timeout", "Timer", "default_scheduler",
     "PriorityStore", "Resource", "Store",
     "RngRegistry",
     "Tracer", "Span", "TraceEvent",

@@ -19,20 +19,21 @@ The core concepts:
 
 Scheduler
 ---------
-The default scheduler splits pending work across two structures:
+Pending work lives in two structures:
 
 * a plain FIFO deque of *ready* items — events triggered at the current
   time and zero-delay ``call_soon`` entries (the bulk of per-packet
   traffic: descriptor completions, queue hand-offs);
-* a :class:`~repro.sim.calqueue.CalendarQueue` of future timers.
+* a ``heapq`` list of ``(time, seq, item)`` entries for positive delays,
+  ``seq`` a per-environment counter that keeps equal times FIFO.
 
-At any timestamp every calendar entry precedes every ready entry in the
-legacy heap's ``(time, seq)`` order — calendar entries at time ``t`` were
-scheduled before the clock reached ``t``, ready entries only after — so
-draining "calendar at ``t``, then ready" reproduces the heap's schedule
-exactly.  The pre-overhaul binary-heap scheduler is retained behind
-``Environment(scheduler="heap")`` and is the reference implementation for
-the differential test suite.
+The schedule is the total ``(time, seq)`` order over every item, where a
+ready item's key is the time it was queued and a fresh ``seq``.  At any
+timestamp every heap entry precedes every ready entry in that order —
+heap entries at time ``t`` were scheduled before the clock reached ``t``,
+ready entries only after — so dispatching "heap entries due at ``t``,
+then the ready deque" at each time step is exactly that order, without
+paying a heap push and pop for zero-delay work.
 
 Example
 -------
@@ -48,13 +49,10 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from contextlib import contextmanager
-from typing import (Any, Callable, Deque, Generator, Iterable, Iterator,
-                    List, Optional, Tuple, Union)
-
-from .calqueue import CalendarQueue
+from heapq import heappop, heappush
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional, Tuple, Union)
 
 __all__ = [
     "Environment",
@@ -66,10 +64,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
-    "SCHEDULERS",
     "default_scheduler",
-    "set_default_scheduler",
-    "scheduler_override",
 ]
 
 
@@ -406,58 +401,22 @@ class AnyOf(Event):
             self.fail(event.value)
 
 
-SCHEDULERS = ("calendar", "heap")
-
-_DEFAULT_SCHEDULER: List[str] = ["calendar"]
-
-
 def default_scheduler() -> str:
-    """The scheduler new :class:`Environment` instances use by default."""
-    return _DEFAULT_SCHEDULER[0]
-
-
-def set_default_scheduler(name: str) -> str:
-    """Set the process-wide default scheduler; returns the previous one."""
-    if name not in SCHEDULERS:
-        raise SimulationError(
-            f"unknown scheduler {name!r}; expected one of {SCHEDULERS}")
-    previous = _DEFAULT_SCHEDULER[0]
-    _DEFAULT_SCHEDULER[0] = name
-    return previous
-
-
-@contextmanager
-def scheduler_override(name: str) -> Iterator[None]:
-    """Force every :class:`Environment` built in this block onto ``name``.
-
-    The differential test harness uses this to steer scenario builders —
-    which construct their own environments internally — onto the legacy
-    heap scheduler without threading a parameter through every layer.
-    """
-    previous = set_default_scheduler(name)
-    try:
-        yield
-    finally:
-        set_default_scheduler(previous)
+    """Name of the kernel's scheduler, recorded in run manifests."""
+    return "ready+heap"
 
 
 class Environment:
     """The simulation clock and scheduler.
 
     Time is an integer count of nanoseconds since the start of the run.
-
-    ``scheduler`` selects the pending-queue implementation: ``"calendar"``
-    (default) is the bucket-queue fast path, ``"heap"`` the pre-overhaul
-    binary heap kept as the differential-testing reference.  Both produce
-    byte-identical schedules.
+    Pending work lives in a FIFO ready deque (zero-delay items) and a
+    ``heapq`` of ``(time, seq, item)`` entries (positive delays); see the
+    module docstring for why "heap at ``now``, then ready" is the
+    ``(time, seq)`` order.
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = _DEFAULT_SCHEDULER[0]
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
+    def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0  # tie-breaker preserving FIFO order at equal times
         self._monitors: List[Any] = []
@@ -466,23 +425,11 @@ class Environment:
         # emptiness drives the fast/monitored loop switch.
         self._step_monitors: List[Any] = []
         self._advance_monitors: List[Any] = []
-        self.scheduler = scheduler
-        if scheduler == "heap":
-            # Entries are (time, seq, event-or-callable); seq is unique, so
-            # the item itself is never compared.
-            self._heap: List[Tuple[int, int, Any]] = []
-            # Route every scheduling/execution entry point to the legacy
-            # implementations; the calendar structures are never created.
-            self._schedule_event = self._schedule_heap  # type: ignore[method-assign]
-            self.call_soon = self._schedule_heap  # type: ignore[method-assign]
-            self.step = self._step_heap  # type: ignore[method-assign]
-            self.run = self._run_heap  # type: ignore[method-assign]
-            self.peek = self._peek_heap  # type: ignore[method-assign]
-        else:
-            # Ready lane: items due at the current time, in FIFO order —
-            # triggered events and zero-delay call_soon entries.
-            self._ready: Deque[Union[Event, Callable[[], None]]] = deque()
-            self._cal = CalendarQueue()
+        # Ready lane: items due at the current time, in FIFO order —
+        # triggered events and zero-delay call_soon entries.
+        self._ready: Deque[Union[Event, Callable[[], None]]] = deque()
+        # Future items; seq is unique, so the item itself is never compared.
+        self._heap: List[Tuple[int, int, Union[Event, Callable[[], None]]]] = []
 
     @property
     def now(self) -> int:
@@ -527,34 +474,14 @@ class Environment:
 
     def call_soon(self, fn: Callable[[], None], delay: int = 0) -> None:
         """Run ``fn()`` after ``delay`` ns (0 = this time step, FIFO)."""
-        # Duplicates CalendarQueue.push's common case (a future bucket
-        # within the horizon, ahead of the scan) to save a call frame on the
-        # per-timer hot path; anything else falls through to the real push.
-        # The condition mirrors push() exactly.
-        if delay:
+        if delay > 0:
             seq = self._seq + 1
             self._seq = seq
-            time = self._now + delay
-            cal = self._cal
-            bidx = time >> cal._shift
-            if cal._cursor < bidx < cal._floor + cal._nbuckets:
-                free = cal._free
-                if free:
-                    e = free.pop()
-                    e[0] = time
-                    e[1] = seq
-                    e[2] = fn
-                else:
-                    e = [time, seq, fn]
-                cal._buckets[bidx & cal._mask].append(e)
-                count = cal._count + 1
-                cal._count = count
-                if count > cal._grow_at:
-                    cal._maybe_grow(count)
-                return
-            cal.push(time, seq, fn)
-        else:
+            heappush(self._heap, (self._now + delay, seq, fn))
+        elif delay == 0:
             self._ready.append(fn)
+        else:
+            raise SimulationError(f"negative call_soon delay: {delay}")
 
     # Triggered events (succeed/fail, Timeout, Timer.fire) are queued exactly
     # like callables, at the same (time, seq); dispatch tells them apart.
@@ -596,31 +523,27 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next scheduled item."""
-        cal = self._cal
-        when = cal.min_time()
-        if when is not None and when == self._now:
-            # Calendar entries at the current time precede every ready
-            # item in (time, seq) order (see the module docstring).
-            item = cal.pop()[2]
+        heap = self._heap
+        if heap and heap[0][0] == self._now:
+            # Heap entries at the current time precede every ready item in
+            # (time, seq) order (see the module docstring).
+            item = heappop(heap)[2]
         elif self._ready:
-            when = self._now
             item = self._ready.popleft()
-        elif when is None:
-            raise IndexError("step from an empty schedule")
-        else:
-            if when < self._now:
-                raise SimulationError("time went backwards")
+        elif heap:
+            when = heap[0][0]
             self._now = when
             for monitor in self._advance_monitors:
                 monitor.on_advance(when)
-            item = cal.pop()[2]
+            item = heappop(heap)[2]
+        else:
+            raise IndexError("step from an empty schedule")
         if isinstance(item, Event):
             item._run_callbacks()
         else:
             item()
-        if self._step_monitors:
-            for monitor in self._step_monitors:
-                monitor.on_step(when, item)
+        for monitor in self._step_monitors:
+            monitor.on_step(self._now, item)
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the schedule empties or the clock would pass ``until``.
@@ -640,35 +563,37 @@ class Environment:
     def _run_fast(self, until: Optional[int]) -> bool:
         """Monitor-free run loop; returns False to switch loops.
 
-        This is the engine's hot path, and it deliberately reaches into
-        :class:`CalendarQueue` internals: after ``min_time()`` positions
-        the cursor bucket, the whole run of entries at that timestamp is
-        consumed straight out of the bucket list with zero per-item call
-        frames.  The coupling is one-way and confined to this method (plus
-        the invariants spelled out below); everything outside ``repro.sim``
-        goes through the public API (enforced by simlint).
-
-        Invariants honored while draining inline:
-
-        * ``cal._pos``/``cal._count`` are updated *before* each dispatch —
-          callbacks may push into the active bucket (``insort`` keyed off
-          ``_pos``) or trigger a rebuild (which compacts ``b[:_pos]``).
-        * A rebuild during dispatch replaces ``cal._buckets``; the identity
-          check detects it and re-derives the position via ``min_time()``.
-        * No push can land at the draining timestamp (delays are strictly
-          positive; zero-delay work goes to the ready deque), so the run's
-          extent is fixed once entered — ready items produced by the
-          dispatches run strictly after the run, preserving heap order.
+        The engine's hot path: per time step it drains the heap entries
+        due at ``now``, then the ready deque, with ``Event._run_callbacks``
+        inlined.  Nothing dispatched can land in the heap at ``now``
+        (delays are strictly positive), so the heap drain is final once
+        the ready drain starts.  A monitor attached mid-run takes effect
+        before the next clock advance.
         """
         ready = self._ready
-        cal = self._cal
-        min_time = cal.min_time
+        heap = self._heap
+        pop = heappop
         monitors = self._monitors
+        now = self._now
         while True:
+            while heap and heap[0][0] == now:
+                item = pop(heap)[2]
+                if isinstance(item, Event):
+                    item._state = _PROCESSED
+                    cb = item._cb0
+                    if cb is not None:
+                        item._cb0 = None
+                        cb(item)
+                    cbs = item._cbs
+                    if cbs is not None:
+                        item._cbs = None
+                        for cb in cbs:
+                            cb(item)
+                else:
+                    item()
             while ready:
                 item = ready.popleft()
                 if isinstance(item, Event):
-                    # Inlined Event._run_callbacks.
                     item._state = _PROCESSED
                     cb = item._cb0
                     if cb is not None:
@@ -683,191 +608,63 @@ class Environment:
                     item()
             if monitors:
                 return False
-            # Inlined min_time() fast path: the cursor bucket is mid-drain
-            # and its head is not preempted by the overflow heap.  When it
-            # applies, the drain loop below reuses the derived position.
-            t = None
-            if cal._active:
-                b = cal._buckets[cal._cursor & cal._mask]
-                pos = cal._pos
-                if pos < len(b):
-                    far = cal._far
-                    t0 = b[pos][0]
-                    if not far or far[0][0] > t0:
-                        t = t0
-            if t is None:
-                t = min_time()
-                if t is None:
-                    if until is not None:
-                        self._now = until
-                    return True
-            if until is not None and t > until:
+            if not heap:
+                if until is not None:
+                    self._now = until
+                return True
+            now = heap[0][0]
+            if until is not None and now > until:
                 self._now = until
                 return True
-            if t < self._now:
-                raise SimulationError("time went backwards")
-            self._now = t
-            while True:
-                cal._floor = cal._cursor
-                bref = cal._buckets
-                b = bref[cal._cursor & cal._mask]
-                pos = cal._pos
-                n = len(b)
-                clean = True
-                while pos < n:
-                    e = b[pos]
-                    if e[0] != t:
-                        break
-                    pos += 1
-                    cal._pos = pos
-                    cal._count -= 1
-                    item = e[2]
-                    if isinstance(item, Event):
-                        item._state = _PROCESSED
-                        cb = item._cb0
-                        if cb is not None:
-                            item._cb0 = None
-                            cb(item)
-                        cbs = item._cbs
-                        if cbs is not None:
-                            item._cbs = None
-                            for cb in cbs:
-                                cb(item)
-                    else:
-                        item()
-                    if cal._buckets is not bref:
-                        # A push during dispatch rebuilt the queue; local
-                        # position state is stale.
-                        clean = False
-                        break
-                    n = len(b)
-                if clean or min_time() != t:
-                    break
+            self._now = now
 
     def _run_monitored(self, until: Optional[int]) -> bool:
         """Per-step run loop notifying monitors; returns False to switch.
 
-        Cal time steps are retired in bulk with ``drain_due`` — delays
-        are strictly positive, so nothing dispatched from the batch can
-        land at the drained timestamp — then dispatched one item at a
-        time with a per-step monitor notification.  The global dispatch
-        order (cal entries at the current timestamp before ready
-        entries, FIFO within each) is identical to the fast loop's.
+        Dispatches in the fast loop's order, one item per iteration:
+        ``on_advance`` fires when the clock strictly advances, before
+        anything at the new time dispatches, and ``on_step`` after every
+        item.  Detaching the last monitor hands over to the fast loop at
+        the next item.
         """
         ready = self._ready
-        cal = self._cal
-        min_time = cal.min_time
-        drain_due = cal.drain_due
+        heap = self._heap
+        pop = heappop
         monitors = self._monitors
         step_monitors = self._step_monitors
         advance_monitors = self._advance_monitors
-        batch: List[Any] = []
         while monitors:
-            t = min_time()
-            if t is not None and t <= self._now:
-                if t < self._now:
-                    raise SimulationError("time went backwards")
-                drain_due(None, batch)
+            now = self._now
+            if heap and heap[0][0] == now:
+                item = pop(heap)[2]
             elif ready:
                 item = ready.popleft()
-                if isinstance(item, Event):
-                    item._run_callbacks()
-                else:
-                    item()
-                when = self._now
-                for monitor in step_monitors:
-                    monitor.on_step(when, item)
-                continue
-            elif t is None:
-                if until is not None and until > self._now:
+            else:
+                if heap:
+                    t = heap[0][0]
+                    if until is None or t <= until:
+                        self._now = t
+                        # Advance hooks fire before anything at t
+                        # dispatches, so a timeline closing windows here
+                        # sees only state produced strictly before t.
+                        for monitor in advance_monitors:
+                            monitor.on_advance(t)
+                        continue
+                if until is not None and until > now:
                     self._now = until
                     for monitor in advance_monitors:
                         monitor.on_advance(until)
                 return True
+            if isinstance(item, Event):
+                item._run_callbacks()
             else:
-                if until is not None and t > until:
-                    if until > self._now:
-                        self._now = until
-                        for monitor in advance_monitors:
-                            monitor.on_advance(until)
-                    return True
-                self._now = t
-                # Advance hooks fire before anything at t dispatches, so
-                # a timeline closing windows here sees only state produced
-                # strictly before t.
-                for monitor in advance_monitors:
-                    monitor.on_advance(t)
-                drain_due(None, batch)
-            when = t
-            # Dispatch the whole batch even if a callback detaches the
-            # last monitor mid-way; the notification check per item keeps
-            # attach/detach-during-dispatch semantics exact.
-            for item in batch:
-                if isinstance(item, Event):
-                    item._run_callbacks()
-                else:
-                    item()
-                if monitors:
-                    for monitor in step_monitors:
-                        monitor.on_step(when, item)
-            del batch[:]
+                item()
+            for monitor in step_monitors:
+                monitor.on_step(now, item)
         return False
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled item, or None if none is pending."""
         if self._ready:
             return self._now
-        return self._cal.min_time()
-
-    # -- legacy heap scheduler ---------------------------------------------
-    # The pre-overhaul implementation, byte-for-byte semantics, selected
-    # with Environment(scheduler="heap").  It is the reference model the
-    # differential suite runs every scenario against.
-
-    def _schedule_heap(self, item: Union[Event, Callable[[], None]],
-                       delay: int = 0) -> None:
-        """Queue a triggered event or a callable ``delay`` ns from now."""
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, item))
-
-    def _step_heap(self) -> None:
-        """Process the single next scheduled item."""
-        when, _seq, item = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("time went backwards")
-        if when > self._now:
-            self._now = when
-            for monitor in self._advance_monitors:
-                monitor.on_advance(when)
-        if isinstance(item, Event):
-            item._run_callbacks()
-        else:
-            item()
-        if self._step_monitors:
-            for monitor in self._step_monitors:
-                monitor.on_step(when, item)
-
-    def _run_heap(self, until: Optional[int] = None) -> None:
-        """Run until the heap empties or the clock would pass ``until``."""
-        if until is not None and until < self._now:
-            raise SimulationError("cannot run backwards in time")
-        heap = self._heap
-        step = self.step
-        while heap:
-            if until is not None and heap[0][0] > until:
-                self._advance_clock(until)
-                return
-            step()
-        if until is not None:
-            self._advance_clock(until)
-
-    def _advance_clock(self, t: int) -> None:
-        """Advance the clock to ``t`` (end of run), notifying advance hooks."""
-        if t > self._now:
-            self._now = t
-            for monitor in self._advance_monitors:
-                monitor.on_advance(t)
-
-    def _peek_heap(self) -> Optional[int]:
-        """Time of the next scheduled item, or None if the heap is empty."""
         return self._heap[0][0] if self._heap else None

@@ -17,9 +17,8 @@ dispatches.  Two consequences:
 
 * **Exactness** — when a window ``[s, s+W)`` closes, every update the
   instruments have seen is from time < now, and the clock advanced
-  through every intermediate timestamp one batch at a time, so the close
-  observes precisely the updates with timestamps inside the window.  The
-  decomposition is identical under the calendar and heap schedulers.
+  through every intermediate timestamp in order, so the close observes
+  precisely the updates with timestamps inside the window.
 * **Zero cost unbound** — binding a timeline flips the engine into the
   monitored run loop (PR 6); with no timeline bound ``_run_fast`` runs
   untouched, and because registration stores references (PR 2) a bound

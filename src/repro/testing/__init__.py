@@ -16,13 +16,6 @@ from .determinism import (
     compare_runs,
     metrics_digest,
 )
-from .differential import (
-    REFERENCE_SCHEDULER,
-    diff_all,
-    diff_scenario,
-    metrics_json,
-    run_under,
-)
 from .golden import (
     GoldenMismatch,
     REGEN_ENV,
@@ -64,7 +57,5 @@ __all__ = [
     "save_golden",
     "assert_deterministic", "check_deterministic", "compare_runs",
     "metrics_digest",
-    "REFERENCE_SCHEDULER", "diff_all", "diff_scenario", "metrics_json",
-    "run_under",
     "PropertyFailure", "case_rng", "replay_case", "run_property",
 ]

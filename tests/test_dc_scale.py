@@ -1,5 +1,5 @@
-"""Unit tests for the dc_scale artifact: determinism, scheduler
-independence, and the fleet consolidation cost curve."""
+"""Unit tests for the dc_scale artifact: determinism and the fleet
+consolidation cost curve."""
 
 import json
 
@@ -11,7 +11,7 @@ from repro.experiments.dc_scale import (
     format_dc_scale,
     run_dc_scale,
 )
-from repro.sim import SCHEDULERS, ms, scheduler_override
+from repro.sim import ms
 
 
 def small_params():
@@ -36,15 +36,6 @@ def test_dc_point_is_deterministic():
     a = _dc_point(small_params())
     b = _dc_point(small_params())
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_dc_point_is_scheduler_independent():
-    results = {}
-    for scheduler in SCHEDULERS:
-        with scheduler_override(scheduler):
-            results[scheduler] = json.dumps(_dc_point(small_params()),
-                                            sort_keys=True)
-    assert len(set(results.values())) == 1, results
 
 
 def test_run_dc_scale_sweeps_the_grid():

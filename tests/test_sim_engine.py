@@ -301,46 +301,12 @@ def test_allof_detaches_outstanding_on_failure():
     assert pending.callbacks == ()
 
 
-def test_anyof_losers_detached_under_heap_scheduler_too():
-    env = Environment(scheduler="heap")
-    fast = env.timeout(1, value="a")
-    slow = env.timeout(500, value="b")
-    race = env.any_of([fast, slow])
-    env.run(until=5)
-    assert race.value == (fast, "a")
-    assert slow.callbacks == ()
-
-
-def test_environment_rejects_unknown_scheduler():
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay-tree")
-
-
-def test_scheduler_override_scopes_default():
-    from repro.sim import default_scheduler, scheduler_override
-
-    assert default_scheduler() == "calendar"
-    with scheduler_override("heap"):
-        assert default_scheduler() == "heap"
-        assert Environment().scheduler == "heap"
-    assert default_scheduler() == "calendar"
-    assert Environment().scheduler == "calendar"
-
-
-def test_heap_and_calendar_schedules_identical():
-    def drive(scheduler):
-        env = Environment(scheduler=scheduler)
-        log = []
-
-        def proc(env, tag, delay):
-            for i in range(20):
-                yield env.timeout(delay + (i % 3))
-                log.append((env.now, tag))
-
-        for tag in range(6):
-            env.process(proc(env, tag, tag + 1))
-        env.call_soon(lambda: log.append((env.now, "soon")))
-        env.run()
-        return log
-
-    assert drive("heap") == drive("calendar")
+def test_call_soon_rejects_negative_delay_at_the_call():
+    env = Environment()
+    env.run(until=100)
+    with pytest.raises(SimulationError, match="-5"):
+        env.call_soon(lambda: None, -5)
+    # Nothing was queued: the schedule stays empty and the clock put.
+    assert env.peek() is None
+    env.run()
+    assert env.now == 100

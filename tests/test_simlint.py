@@ -412,7 +412,7 @@ def test_sim303_allows_the_kernel_its_own_coupling():
     result = lint_sources({
         "repro/sim/fastpath.py":
             "def drain(env):\n"
-            "    cal = env._cal\n"
+            "    heap = env._heap\n"
             "    env._seq += 1\n"
             "    return env._ready\n"}, only=["SIM303"])
     assert result.findings == []
@@ -434,11 +434,10 @@ def test_sim303_allows_own_private_state():
 def test_sim303_flags_every_internal_field():
     src = ("def meddle(env):\n"
            "    env._heap.clear()\n"
-           "    env._cal.push(1, 1, None)\n"
            "    env._seq = 0\n"
            "    env._ready.clear()\n")
     result = lint_sources({"repro/cluster/meddle.py": src}, only=["SIM303"])
-    assert sorted(f.line for f in result.findings) == [2, 3, 4, 5]
+    assert sorted(f.line for f in result.findings) == [2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
