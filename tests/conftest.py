@@ -12,12 +12,18 @@ from typing import Callable, Dict, Tuple
 import pytest
 
 from repro.cluster import TestbedSpec
+from repro.sim import Environment
 from repro.testing import ScenarioResult, run_scenario
 
 # The name starts with "Test", but it's a dataclass, not a test class.
 TestbedSpec.__test__ = False
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+#: Parametrizes a test's ``make_env`` with the engine's one scheduler, a
+#: ready deque plus a heap, under the id ``heap``.
+heap_engine = pytest.mark.parametrize("make_env", [Environment],
+                                      ids=["heap"])
 
 
 @pytest.fixture(scope="session")
